@@ -1,8 +1,9 @@
 """Shared helpers for the benchmark harness.
 
 Every bench writes its reproduction artifact (the regenerated table or
-figure) into ``benchmarks/results/`` so the paper-vs-measured record in
-EXPERIMENTS.md can be refreshed from a single run.
+figure) into ``benchmarks/results/``, so the paper-vs-measured record
+can be refreshed from a single run; measured deviations from the paper
+are recorded in CHANGES.md.
 """
 
 from __future__ import annotations

@@ -19,9 +19,7 @@ internals — i.e. exactly the code paths this PR replaced.
 from __future__ import annotations
 
 import os
-import random
 import time
-from dataclasses import replace
 
 from repro.core.processor import SPAction, SPState, SyncProcessor
 from repro.core.schedule import IOSchedule, SyncPoint
@@ -33,7 +31,6 @@ from repro.core.wrappers import (
 from repro.lis.pearl import FunctionPearl
 from repro.lis.simulator import Simulation
 from repro.lis.system import System
-from repro.sched.generate import TopologyProfile, random_topology
 from repro.verify import (
     BEHAVIOURAL_STYLES,
     BatchConfig,
@@ -47,7 +44,6 @@ from repro.verify import (
     run_case,
     topology_marked_graph,
 )
-from repro.verify.vectorize import run_cases_vectorized
 from repro.verify.cases import _credit_tokens, relay_peak_occupancy
 from repro.verify.oracles import (
     check_cycle_exact,
@@ -621,170 +617,6 @@ def test_perturbed_verify_throughput(benchmark):
     write_result("batch_verify_perturb.txt", "\n".join(lines))
 
 
-# -- vectorized lane-batch engine ----------------------------------------------
-
-VEC_QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
-VEC_LANES = 32 if VEC_QUICK else 64
-VEC_CYCLES = 150
-VEC_ROUNDS = 2 if VEC_QUICK else 3
-# Quick mode halves the lane count, which halves the setup
-# amortization the vectorized engine banks on — the CI smoke bar is
-# correspondingly lower than the full 10x acceptance bar.
-VEC_REQUIRED_SPEEDUP = 6.0 if VEC_QUICK else 10.0
-VEC_STYLES = ("rtl-sp", "rtl-fsm")
-
-
-def _vector_workload():
-    """A same-shape behavioural-free lane batch: one wide SP schedule
-    (single process, ~250 sync points), replicated across VEC_LANES
-    traffic variants (shifted token values, fresh jitter gaps, fresh
-    sink stalls) so every lane genuinely diverges mid-run.  This is
-    the workload class the vectorized engine exists for — the scalar
-    path re-synthesizes and re-elaborates the wrapper per case per
-    style, the vector path does it once per batch."""
-    profile = TopologyProfile(
-        min_processes=1,
-        max_processes=1,
-        max_ports=2,
-        max_points=256,
-        max_run=1,
-        max_latency=1,
-        p_internal=0.0,
-        p_feedback=0.0,
-        p_uniform=0.0,
-        source_tokens=8192,
-    )
-    base = random_topology(54, profile)
-    rng = random.Random(5)
-
-    def pattern():
-        bits = tuple(rng.random() < 0.7 for _ in range(8))
-        return bits if any(bits) else (True,) + bits[1:]
-
-    cases = []
-    for index in range(VEC_LANES):
-        topology = replace(
-            base,
-            sources=tuple(
-                replace(src, base=src.base + index * 64, gaps=pattern())
-                for src in base.sources
-            ),
-            sinks=tuple(
-                replace(snk, stalls=pattern()) for snk in base.sinks
-            ),
-        )
-        cases.append(
-            VerifyCase(
-                index=index,
-                seed=index,
-                cycles=VEC_CYCLES,
-                topology=topology,
-                styles=VEC_STYLES,
-                engine="compiled",
-            )
-        )
-    return cases
-
-
-def test_vectorized_beats_compiled_on_lane_batches(benchmark):
-    """The bit-parallel vectorized engine — packed kernel plus the
-    NumPy structure-of-arrays lane harness — must deliver >= 10x the
-    cases/second of the scalar compiled engine on same-shape
-    behavioural-free batches, while staying outcome-identical case by
-    case."""
-    cases = _vector_workload()
-    # Warm the synthesis/elaboration/kernel caches on both paths so
-    # the timed rounds measure steady-state throughput.
-    run_case(cases[0])
-    run_cases_vectorized(cases[:2], lanes=VEC_LANES)
-
-    def time_pair():
-        started = time.perf_counter()
-        scalar = [run_case(case) for case in cases]
-        scalar_s = time.perf_counter() - started
-        started = time.perf_counter()
-        vectorized = run_cases_vectorized(cases, lanes=VEC_LANES)
-        vectorized_s = time.perf_counter() - started
-        # The lane demux must be result-identical to the scalar path.
-        assert vectorized == scalar
-        assert all(outcome.ok for outcome in scalar)
-        return scalar_s, vectorized_s
-
-    rows = benchmark.pedantic(
-        lambda: [time_pair() for _ in range(VEC_ROUNDS)],
-        rounds=1,
-        iterations=1,
-    )
-    best_scalar = min(s for s, _v in rows)
-    best_vectorized = min(v for _s, v in rows)
-    speedup = best_scalar / best_vectorized
-    assert speedup >= VEC_REQUIRED_SPEEDUP, (
-        f"vectorized engine only {speedup:.2f}x over scalar compiled "
-        f"(required >= {VEC_REQUIRED_SPEEDUP}x)"
-    )
-
-    # One untimed instrumented replay to split the engine's time into
-    # packed-word kernel vs lane harness — the same counters the CLI's
-    # --metrics-json rollup reports.
-    from repro.verify import telemetry
-    from repro.verify.telemetry import TelemetrySession
-
-    session = telemetry.activate(TelemetrySession())
-    try:
-        run_cases_vectorized(cases, lanes=VEC_LANES)
-    finally:
-        telemetry.deactivate()
-    counters = session.rollup.counters
-    kernel_us = counters.get("vectorize.kernel_us", 0.0)
-    harness_us = counters.get("vectorize.harness_us", 0.0)
-    engine_us = kernel_us + harness_us
-    kernel_share = kernel_us / engine_us if engine_us else 0.0
-
-    benchmark.extra_info.update(
-        lanes=VEC_LANES,
-        cycles=VEC_CYCLES,
-        scalar_ms=round(best_scalar * 1e3, 1),
-        vectorized_ms=round(best_vectorized * 1e3, 1),
-        speedup=round(speedup, 2),
-        kernel_share=round(kernel_share, 3),
-    )
-    lines = [
-        "Vectorized lane-batch engine vs scalar compiled engine "
-        f"({VEC_LANES} same-shape cases, {VEC_CYCLES} cycles, styles "
-        f"{', '.join(VEC_STYLES)}, best of {VEC_ROUNDS})",
-        "",
-        f"{'engine':>12} | {'ms/batch':>9} {'cases/s':>9}",
-        "-" * 36,
-        f"{'compiled':>12} | {best_scalar * 1e3:>9.1f} "
-        f"{len(cases) / best_scalar:>9.1f}",
-        f"{'vectorized':>12} | {best_vectorized * 1e3:>9.1f} "
-        f"{len(cases) / best_vectorized:>9.1f}",
-        "",
-        f"speedup: {speedup:.2f}x "
-        f"(required >= {VEC_REQUIRED_SPEEDUP}x)",
-        "",
-        "engine time split (instrumented replay, --metrics-json "
-        "counters):",
-        f"  kernel  (packed settle/step)   {kernel_us / 1e3:>8.1f} ms "
-        f"({kernel_share:.0%})",
-        f"  harness (lane sources/sinks/"
-        f"pearls) {harness_us / 1e3:>6.1f} ms "
-        f"({1 - kernel_share if engine_us else 0:.0%})",
-        f"  chunks: {counters.get('vectorize.numpy_chunks', 0):.0f} "
-        "numpy structure-of-arrays, "
-        f"{counters.get('vectorize.object_chunks', 0):.0f} "
-        "object-loop fallback",
-        "",
-        "Each lane packs one case's RTL state into a stride-aligned "
-        "bit slice of shared Python integers; one settle/step per "
-        "batch cycle advances every lane, the behavioural side runs "
-        "as one NumPy structure-of-arrays step over all lanes, and "
-        "the wrapper is synthesized and elaborated once per batch "
-        "instead of once per case per style.",
-    ]
-    write_result("batch_verify_vectorized.txt", "\n".join(lines))
-
-
 # -- supervised-pool overhead guard --------------------------------------------
 
 
@@ -876,10 +708,10 @@ def test_telemetry_overhead(benchmark, tmp_path):
     from repro.verify import telemetry
     from repro.verify.telemetry import EventWriter, TelemetrySession
 
-    # Quick (CI smoke) mode widens the bar like the vectorized bench
-    # does: batch times on a loaded CI box jitter by far more than the
-    # real probe cost, so the smoke only catches structural overhead;
-    # the full run holds the 0.95x acceptance bar.
+    # Quick (CI smoke) mode widens the bar: batch times on a loaded CI
+    # box jitter by far more than the real probe cost, so the smoke
+    # only catches structural overhead; the full run holds the 0.95x
+    # acceptance bar.
     required_ratio = 0.85 if os.environ.get(
         "REPRO_BENCH_QUICK"
     ) == "1" else 0.95

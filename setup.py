@@ -1,16 +1,4 @@
-"""Legacy setup shim: this environment has no `wheel` package, so PEP 660
-editable installs cannot build; `pip install -e . --no-use-pep517
---no-build-isolation` (or plain `pip install -e .` with new pips) falls
-back to `setup.py develop`, which needs this file.  All metadata lives in
-pyproject.toml (PEP 621), which setuptools>=61 reads natively.
-"""
+"""Shim for ``setup.py develop``; all metadata lives in pyproject.toml."""
 from setuptools import setup
 
-setup(
-    # NumPy is optional: the vectorized verify engine's lane-batched
-    # harness (repro.verify.lanestep) imports it behind a guard and
-    # falls back to a per-lane object loop — identical results, scalar
-    # speed — when it is absent.  Install with `.[fast]` to hit the
-    # benchmarked 10x lane-batch throughput.
-    extras_require={"fast": ["numpy>=1.22"]},
-)
+setup()

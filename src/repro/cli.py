@@ -19,13 +19,9 @@ Subcommands:
   ``--perturb-floorplan`` adds floorplan-driven variants,
   ``--perturb-dynamic`` adds mid-run stall-plan variants, and
   ``--perturb-styles all`` runs every variant under every wrapper
-  style); ``--engine vectorized`` packs same-shape cases into the
-  word-level lanes of one bit-parallel RTL simulation
-  (:mod:`repro.verify.vectorize`) with identical results, batching
-  the behavioural harness through NumPy when available and covering
-  ``rtl-shiftreg`` via lane-indexed activation ROMs — ``--lanes N``
-  sets the batch width (default 32, results lane-count independent);
-  ``--list-styles`` prints the style registry;
+  style); ``--engine compiled|interp`` picks the RTL simulation
+  backend of the RTL-in-the-loop styles; ``--list-styles`` prints the
+  style registry;
   ``--coverage`` / ``--coverage-json`` report topology-shape
   histograms; ``--gen coverage [--corpus DIR]`` switches topology
   generation to the coverage-guided corpus scheduler
@@ -161,20 +157,84 @@ def _flush_telemetry(session, writer, metrics_path, wall_s) -> None:
         print(f"wrote metrics JSON to {path}")
 
 
+class _ReadTracker(dict):
+    """A reproducer mapping that remembers the last key read, so a
+    conversion error can name the field it came from."""
+
+    last: str | None = None
+
+    def __getitem__(self, key):
+        self.last = key
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.last = key
+        return super().get(key, default)
+
+
+def _reproducer_case(data: dict, args: argparse.Namespace):
+    """The :class:`~repro.verify.VerifyCase` a ``--repro`` file replays.
+
+    Saved reproducers carry their run parameters; CLI flags only fill
+    the gaps for hand-written topology files.  An explicit ``--engine``
+    flag overrides the recorded engine; the fallback resolves
+    ``engine=None`` exactly like ``BatchConfig.__post_init__``, so a
+    replay runs under the engine the failure was found with.  Raises
+    ``KeyError``/``TypeError``/``ValueError`` on a malformed file.
+    """
+    from .rtl.simulator import resolve_engine
+    from .sched.generate import topology_from_dict, variant_from_dict
+    from .verify import VerifyCase, styles_for_traffic
+
+    topology = topology_from_dict(data)
+    deadlock_window = data.get("deadlock_window", args.deadlock_window)
+    return VerifyCase(
+        index=0,
+        seed=int(data.get("seed", 0)),
+        cycles=int(data.get("cycles", args.cycles)),
+        topology=topology,
+        # Hand-written files without a style list get the styles
+        # their traffic regime would run with — regular-traffic
+        # topologies include the shift-register styles.
+        styles=(
+            tuple(data["styles"])
+            if "styles" in data
+            else styles_for_traffic(topology.traffic)
+        ),
+        deadlock_window=(
+            None if deadlock_window is None else int(deadlock_window)
+        ),
+        engine=resolve_engine(
+            args.engine if args.engine is not None else data.get("engine")
+        ),
+        perturb=int(data.get("perturb", args.perturb)),
+        perturb_floorplan=bool(
+            data.get("perturb_floorplan", args.perturb_floorplan)
+        ),
+        perturb_styles=str(data.get("perturb_styles", args.perturb_styles)),
+        perturb_dynamic=bool(
+            data.get("perturb_dynamic", args.perturb_dynamic)
+        ),
+        # Pinned variants replay verbatim; without them --perturb
+        # re-derives from the topology and seed.
+        variants=(
+            tuple(variant_from_dict(v) for v in data["variants"])
+            if "variants" in data
+            else None
+        ),
+    )
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     # Imported lazily: the verify machinery drags in the RTL simulator
     # and multiprocessing, which the synthesis subcommands never need.
-    from .rtl.simulator import resolve_engine
-    from .sched.generate import topology_from_dict, variant_from_dict
     from .verify import (
         PERTURB_STYLE_MODES,
         BatchConfig,
         BatchRunner,
-        VerifyCase,
         format_style_registry,
         parse_chaos,
         run_case,
-        styles_for_traffic,
         telemetry,
         write_atomic,
     )
@@ -190,56 +250,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(f"error: cannot load reproducer {args.repro}: {exc}",
                   file=sys.stderr)
             return 2
-        # Saved reproducers carry their run parameters; CLI flags only
-        # fill the gaps for hand-written topology files.  An explicit
-        # --engine flag overrides the recorded engine; the fallback
-        # resolves engine=None exactly like BatchConfig.__post_init__,
-        # so a replay runs under the engine the failure was found with.
-        topology = topology_from_dict(data)
-        case = VerifyCase(
-            index=0,
-            seed=int(data.get("seed", 0)),
-            cycles=int(data.get("cycles", args.cycles)),
-            topology=topology,
-            # Hand-written files without a style list get the styles
-            # their traffic regime would run with — regular-traffic
-            # topologies include the shift-register styles.
-            styles=(
-                tuple(data["styles"])
-                if "styles" in data
-                else styles_for_traffic(topology.traffic)
-            ),
-            deadlock_window=data.get(
-                "deadlock_window", args.deadlock_window
-            ),
-            engine=resolve_engine(
-                args.engine
-                if args.engine is not None
-                else data.get("engine")
-            ),
-            perturb=int(data.get("perturb", args.perturb)),
-            perturb_floorplan=bool(
-                data.get("perturb_floorplan", args.perturb_floorplan)
-            ),
-            perturb_styles=str(
-                data.get("perturb_styles", args.perturb_styles)
-            ),
-            perturb_dynamic=bool(
-                data.get("perturb_dynamic", args.perturb_dynamic)
-            ),
-            # Liveness-only, but replayed so lane-width-sensitive
-            # faults reproduce under the recorded batching.
-            lanes=int(data.get("lanes", args.lanes)),
-            # Pinned variants replay verbatim; without them --perturb
-            # re-derives from the topology and seed.
-            variants=(
-                tuple(
-                    variant_from_dict(v) for v in data["variants"]
-                )
-                if "variants" in data
-                else None
-            ),
-        )
+        if not isinstance(data, dict):
+            print(f"error: reproducer {args.repro}: not a JSON object",
+                  file=sys.stderr)
+            return 2
+        data = _ReadTracker(data)
+        try:
+            case = _reproducer_case(data, args)
+        except (KeyError, TypeError, ValueError) as exc:
+            field = exc.args[0] if isinstance(exc, KeyError) else data.last
+            print(
+                f"error: reproducer {args.repro}: missing or invalid "
+                f"field {field!r}",
+                file=sys.stderr,
+            )
+            return 2
         if case.perturb_styles not in PERTURB_STYLE_MODES:
             print(
                 f"error: reproducer {args.repro}: unknown "
@@ -276,7 +301,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             cases=args.cases,
             seed=args.seed,
             jobs=args.jobs,
-            lanes=args.lanes,
             cycles=args.cycles,
             profile=args.profile,
             traffic=args.traffic,
@@ -312,7 +336,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                     "cases": args.cases,
                     "seed": args.seed,
                     "jobs": args.jobs,
-                    "lanes": args.lanes,
                     "profile": args.profile,
                     "traffic": args.traffic,
                     "engine": args.engine,
@@ -609,17 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=ENGINES,
         help=(
             "RTL simulation backend for the rtl-* styles (default: "
-            "compiled, or the REPRO_RTL_ENGINE environment override); "
-            "'vectorized' packs same-shape cases into word-level "
-            "lanes of one bit-parallel simulation"
-        ),
-    )
-    verify.add_argument(
-        "--lanes", type=int, default=32, metavar="N",
-        help=(
-            "lane width for --engine vectorized: same-shape cases "
-            "batched per packed kernel and harness pass (default 32, "
-            "useful to 128+; results are lane-count independent)"
+            "compiled, or the REPRO_RTL_ENGINE environment override)"
         ),
     )
     verify.add_argument(
@@ -635,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "per-case wall-clock budget; a case past it is killed and "
             "retried, then reported as a structured 'timeout' outcome "
-            "(lane batches get timeout x lane count; default: none)"
+            "(default: none)"
         ),
     )
     verify.add_argument(

@@ -39,6 +39,7 @@ from dataclasses import asdict, is_dataclass
 from pathlib import Path
 from typing import IO, Mapping
 
+from ..rtl.simulator import resolve_engine
 from .cases import CaseOutcome, Divergence
 
 __all__ = [
@@ -81,10 +82,8 @@ def config_fingerprint(config) -> dict:
 
     Everything that feeds the job-count-independence invariant —
     results are a pure function of these fields — and nothing that
-    only affects liveness (jobs, lanes, timeout, retries, backoff) or
-    reporting (shrink).  ``lanes`` in particular stays out: vectorized
-    outcomes are lane-count independent, so a journal resumes cleanly
-    under a different ``--lanes``.
+    only affects liveness (jobs, timeout, retries, backoff) or
+    reporting (shrink).
 
     The generator strategy (``gen``) and — for coverage-guided
     batches — a digest of the corpus directory contents are part of
@@ -229,6 +228,18 @@ class CampaignJournal:
             )
         recorded = header.get("config")
         expected = config_fingerprint(config)
+        if isinstance(recorded, dict) and isinstance(
+            recorded.get("engine"), str
+        ):
+            # Headers written by earlier releases may name a retired
+            # engine; compare the engine that would run it today.
+            try:
+                recorded = {
+                    **recorded,
+                    "engine": resolve_engine(recorded["engine"]),
+                }
+            except ValueError:
+                pass
         if recorded != expected:
             mismatched = sorted(
                 key

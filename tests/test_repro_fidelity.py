@@ -133,8 +133,8 @@ def _plain_failing_case(traffic, monkeypatch):
 def _spy_replay(monkeypatch, recorded):
     """Route the CLI --repro path's run_case through a recorder."""
 
-    def spy(case, runs=None):
-        outcome = run_case(case, runs=runs)
+    def spy(case):
+        outcome = run_case(case)
         recorded["case"] = case
         recorded["outcome"] = outcome
         return outcome
@@ -150,7 +150,7 @@ class TestWriteReplayMatrix:
         "traffic,mode,engine",
         [
             ("random", "plain", "interp"),
-            ("random", "perturb-dynamic", "vectorized"),
+            ("random", "perturb-dynamic", "compiled"),
             ("regular", "plain", "interp"),
             ("regular", "perturb-dynamic", "compiled"),
         ],
@@ -264,9 +264,9 @@ class TestReplayParameters:
         data["engine"] = "interp"
         case = self._replay(
             tmp_path, monkeypatch, data,
-            extra=("--engine", "vectorized"),
+            extra=("--engine", "compiled"),
         )
-        assert case.engine == "vectorized"
+        assert case.engine == "compiled"
 
     def test_absent_engine_resolves_like_batch_config(
         self, tmp_path, monkeypatch

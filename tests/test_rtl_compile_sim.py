@@ -354,7 +354,6 @@ class TestCacheStats:
         stats = cache_stats()
         assert set(stats) == {
             "hits", "misses", "memo_hits", "compile_ms",
-            "vector_packed", "vector_fallback",
         }
         assert all(value == 0 for value in stats.values())
 

@@ -2,10 +2,11 @@
 
 Two measurements:
 
-* the simulator's trace-free fast path (precomputed phase lists, port
-  caches, allocation-free SP stepping) against a faithful replica of
-  the seed ``Simulation.step`` loop — the acceptance bar is >= 1.5x on
-  the bench_throughput-style ring workload;
+* ``Simulation.run`` (the compiled system loop of
+  :mod:`repro.lis.compiled`, allocation-free SP stepping) against a
+  faithful replica of the seed ``Simulation.step`` loop — the
+  acceptance bar is >= 1.5x on the bench_throughput-style ring
+  workload;
 * end-to-end ``repro verify`` throughput in cases/second, which is
   what bounds how much topology space a CI budget can cover.
 
@@ -239,7 +240,7 @@ def test_fast_path_beats_seed_step_loop(benchmark):
         speedup=round(speedup, 2),
     )
     lines = [
-        f"Trace-free simulation fast path vs seed step loop "
+        f"Simulation.run (compiled loop) vs seed step loop "
         f"({N_NODES}-process SP ring, {CYCLES} cycles, "
         f"best of {ROUNDS})",
         "",

@@ -2,9 +2,11 @@
 
 Both engines simulate the same SP *golden* wrapper (the reference
 schedule of ``tests/test_rtl_golden.py``) under an identical seeded
-FIFO-status stimulus, replaying the exact per-cycle access pattern of
-:class:`repro.core.equivalence.RTLShell`: poke every ``not_empty``/
-``not_full`` input, settle, peek every strobe, step.  The acceptance
+FIFO-status stimulus, through the generic per-cycle access pattern
+(the one ``InterpSimulator.wrapper_cycle`` is built from): poke every
+``not_empty``/``not_full`` input, settle, peek every strobe, step.
+:class:`repro.core.equivalence.RTLShell` itself calls the fused
+``wrapper_cycle``, which the verify benchmark measures.  The acceptance
 bar is a >= 5x speedup for the compiled engine; cycles/second for both
 engines is tracked in the written artifact.
 

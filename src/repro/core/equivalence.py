@@ -110,22 +110,25 @@ class RTLShell(Shell):
         self._script_pos = 0
         self._rtl_run_left = 0
         self._phase_next = 0
-        self._in_names = [sanitize(n) for n in pearl.schedule.inputs]
-        self._out_names = [sanitize(n) for n in pearl.schedule.outputs]
-        # Per-cycle poke/peek targets, precomputed once: formatting
-        # these strings inside _wrapper_step dominated small-wrapper
-        # simulation before the compiled engine existed.
-        self._not_empty_pokes = [
-            (name, f"{port}_not_empty")
-            for name, port in zip(pearl.schedule.inputs, self._in_names)
-        ]
-        self._not_full_pokes = [
-            (name, f"{port}_not_full")
-            for name, port in zip(pearl.schedule.outputs, self._out_names)
-        ]
-        self._pop_names = [f"{port}_pop" for port in self._in_names]
-        self._push_names = [f"{port}_push" for port in self._out_names]
         self.rtl = Simulator(module, engine=engine)
+        ins = [sanitize(name) for name in pearl.schedule.inputs]
+        outs = [sanitize(name) for name in pearl.schedule.outputs]
+        expected = (
+            tuple(f"{p}_not_empty" for p in ins)
+            + tuple(f"{p}_not_full" for p in outs),
+            tuple(f"{p}_pop" for p in ins) + tuple(f"{p}_push" for p in outs),
+        )
+        if self.rtl.interface != expected:
+            raise ShellError(
+                f"module {module.name!r} does not expose the wrapper "
+                "interface in schedule port order"
+            )
+        # Ready and strobe masks hold the inputs in bits [0, n_in) and
+        # the outputs above them.
+        self._n_in = len(ins)
+        # (mask bit, port) pairs, bound on first use (ports are bound
+        # after construction).
+        self._ready_bits: tuple[list, list] | None = None
         self._apply_reset()
 
     def _apply_reset(self) -> None:
@@ -134,27 +137,30 @@ class RTLShell(Shell):
         self.rtl.poke("rst", 0)
 
     def _wrapper_step(self, cycle: int) -> None:
-        rtl = self.rtl
-        in_ports = self.in_ports
-        out_ports = self.out_ports
-        for name, poke_name in self._not_empty_pokes:
-            rtl.poke(poke_name, int(in_ports[name].not_empty))
-        for name, poke_name in self._not_full_pokes:
-            rtl.poke(poke_name, int(out_ports[name].not_full))
-        rtl.settle()
-        enable = bool(rtl.peek("ip_enable"))
-        pop_mask = 0
-        for bit, name in enumerate(self._pop_names):
-            if rtl.peek(name):
-                pop_mask |= 1 << bit
-        push_mask = 0
-        for bit, name in enumerate(self._push_names):
-            if rtl.peek(name):
-                push_mask |= 1 << bit
-        rtl.step()
+        ready_bits = self._ready_bits
+        if ready_bits is None:
+            schedule = self.pearl.schedule
+            ready_bits = self._ready_bits = (
+                [
+                    (1 << bit, self.in_ports[name])
+                    for bit, name in enumerate(schedule.inputs)
+                ],
+                [
+                    (1 << (self._n_in + bit), self.out_ports[name])
+                    for bit, name in enumerate(schedule.outputs)
+                ],
+            )
+        ready = 0
+        for bit, port in ready_bits[0]:
+            if port.not_empty:
+                ready |= bit
+        for bit, port in ready_bits[1]:
+            if port.not_full:
+                ready |= bit
+        enable, strobes = self.rtl.wrapper_cycle(ready)
 
         if not enable:
-            if pop_mask or push_mask:
+            if strobes:
                 raise EquivalenceError(
                     f"{self.name!r} cycle {cycle}: pop/push strobes "
                     "asserted while ip_enable low"
@@ -164,7 +170,10 @@ class RTLShell(Shell):
                 self.trace_enable.append(False)
             return
 
-        self._execute_enabled(cycle, pop_mask, push_mask)
+        n_in = self._n_in
+        self._execute_enabled(
+            cycle, strobes & ((1 << n_in) - 1), strobes >> n_in
+        )
         self.pearl._clocked()
         self.enabled_cycles += 1
         if self.trace_enable is not None:

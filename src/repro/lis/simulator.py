@@ -6,12 +6,20 @@ state), then every ``consume`` (inputs -> next state), then every
 ``commit``.  No fixed-point iteration is needed because no block has a
 same-cycle input-to-output path.
 
-The driver keeps precomputed per-phase bound-method lists (built once,
-when the :class:`Simulation` is constructed) and :meth:`Simulation.run`
-has a *trace-free fast path*: with no watchers attached and no deadlock
-window requested, the cycle loop is a tight sweep over those lists with
-no per-cycle bookkeeping at all.  Batch verification
-(:mod:`repro.verify`) and the throughput benches run in that mode.
+Two drivers execute that schedule:
+
+* :meth:`Simulation.step` sweeps precomputed per-phase bound-method
+  lists (built once, when the :class:`Simulation` is constructed).  It
+  is the reference semantics, and every run with watchers attached
+  goes through it, one cycle at a time.
+* :meth:`Simulation.run` without watchers executes the system's
+  compiled cycle loop (:mod:`repro.lis.compiled`): one generated
+  function per system structure, with the ports, relay stations,
+  sources, sinks and stall injectors inlined, each shell's wrapper
+  step called in place, and the deadlock window checked inline.
+  Batch verification (:mod:`repro.verify`) and the throughput benches
+  run in this mode; ``tests/test_lis_compiled.py`` holds it to the
+  ``step()`` reference.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+from .compiled import compile_system, count_fallback
 from .system import System
 
 
@@ -77,6 +86,10 @@ class Simulation:
             self._consume.extend(consume)
             self._commit.extend(commit)
         self._shells = list(system.shells.values())
+        self._blocks = system.blocks
+        # The compiled loop, built on the first run (False: the system
+        # cannot be lowered).
+        self._compiled = None
 
     def add_watcher(self, fn: Callable[[int], None]) -> None:
         """``fn(cycle)`` runs after every commit (trace collection)."""
@@ -109,45 +122,18 @@ class Simulation:
     ) -> SimulationResult:
         """Run for ``cycles`` cycles; optionally stop early if no shell
         fires for ``deadlock_window`` consecutive cycles."""
-        deadlocked = False
-        executed = 0
-        if deadlock_window is None and not self._watchers:
-            # Trace-free fast path: nothing to observe per cycle.
-            produce = self._produce
-            consume = self._consume
-            commit = self._commit
-            cycle = self.cycle
-            try:
-                for _ in range(cycles):
-                    for fn in produce:
-                        fn(cycle)
-                    for fn in consume:
-                        fn(cycle)
-                    for fn in commit:
-                        fn()
-                    cycle += 1
-                    executed += 1
-            finally:
-                self.cycle = cycle
+        start = self.cycle
+        run = False
+        if not self._watchers:
+            if self._compiled is None:
+                self._compiled = compile_system(self._blocks) or False
+            run = self._compiled
+        if run:
+            deadlocked = run(self, cycles, deadlock_window)
         else:
-            quiet = 0
-            # enabled_cycles counters only ever grow, so the sum moves
-            # exactly when some shell made progress.
-            last_total = sum(
-                shell.enabled_cycles for shell in self._shells
-            )
-            for _ in range(cycles):
-                self.step()
-                executed += 1
-                if deadlock_window is not None:
-                    total = sum(
-                        shell.enabled_cycles for shell in self._shells
-                    )
-                    quiet = 0 if total != last_total else quiet + 1
-                    last_total = total
-                    if quiet >= deadlock_window:
-                        deadlocked = True
-                        break
+            count_fallback()
+            deadlocked = self._run_steps(cycles, deadlock_window)
+        executed = self.cycle - start
         return SimulationResult(
             cycles=executed,
             shell_enabled={
@@ -168,6 +154,26 @@ class Simulation:
             },
             deadlocked=deadlocked,
         )
+
+    def _run_steps(
+        self, cycles: int, deadlock_window: int | None
+    ) -> bool:
+        """The ``step()`` reference of the compiled loop; returns
+        whether the deadlock window tripped."""
+        shells = self._shells
+        # enabled_cycles counters only ever grow, so the sum moves
+        # exactly when some shell made progress.
+        last_total = sum(shell.enabled_cycles for shell in shells)
+        quiet = 0
+        for _ in range(cycles):
+            self.step()
+            if deadlock_window is not None:
+                total = sum(shell.enabled_cycles for shell in shells)
+                quiet = 0 if total != last_total else quiet + 1
+                last_total = total
+                if quiet >= deadlock_window:
+                    return True
+        return False
 
     def run_until(
         self,

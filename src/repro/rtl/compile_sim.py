@@ -27,9 +27,14 @@ Lowering pipeline (:func:`compile_design`):
    such a net is actually peeked (the laziness is exact: a pending
    refresh is flushed *before* any poke mutates the environment);
 5. **emit + cache** — register sampling and commits are unrolled into
-   the generated ``step`` body (sample all, commit all, then the
-   inlined settle body), ROMs become padded tuple lookups, and the
-   whole kernel is compiled once per *shape*.
+   one generated ``regs`` body (sample all, then commit all) that
+   ``step`` calls before ``settle``, ROMs become padded tuple lookups,
+   and the whole kernel is compiled once per *shape*.  A module with
+   the uniform wrapper interface also gets a fused ``cycle`` in the
+   same source: write the ready inputs from one mask, settle, read
+   ``(ip_enable, strobe mask)``, update the registers.  It skips the
+   trailing settle of ``step``; the simulator settles lazily when
+   something later peeks, pokes, settles or steps.
 
 Cache-key contract: kernels are cached per worker process under the
 structural key ``(slot count, generated source, ROM images)``.  The
@@ -65,7 +70,7 @@ from .ast import (
     UnaryOp,
 )
 from .module import Design, Module, Register, Rom
-from .simulator import SimulationError, Simulator
+from .simulator import SimulationError, Simulator, wrapper_interface
 
 #: Cap on cached kernels per process; beyond it the least recently
 #: used shape is evicted (bounds memory in long-lived verify workers).
@@ -375,6 +380,7 @@ class _Kernel:
     __slots__ = (
         "settle",
         "step",
+        "cycle",
         "settle_dead",
         "dead_slots",
         "n_slots",
@@ -394,6 +400,7 @@ class _Kernel:
         exec(compile(source, "<compiled-rtl>", "exec"), namespace)
         self.settle = namespace["_settle"]
         self.step = namespace["_step"]
+        self.cycle = namespace.get("_cycle")
         self.settle_dead = namespace["_settle_dead"]
         self.dead_slots = dead_slots
         self.n_slots = n_slots
@@ -403,17 +410,19 @@ class _Kernel:
 class _Plan:
     """Everything a :class:`CompiledSimulator` needs for one module."""
 
-    __slots__ = ("kernel", "name_slot", "masks")
+    __slots__ = ("kernel", "name_slot", "masks", "interface")
 
     def __init__(
         self,
         kernel: _Kernel,
         name_slot: dict[str, int],
         masks: list[int],
+        interface: tuple[tuple[str, ...], tuple[str, ...]] | None,
     ) -> None:
         self.kernel = kernel
         self.name_slot = name_slot
         self.masks = masks
+        self.interface = interface
 
 
 _KERNEL_CACHE: OrderedDict[tuple, _Kernel] = OrderedDict()
@@ -423,19 +432,23 @@ _KERNEL_CACHE: OrderedDict[tuple, _Kernel] = OrderedDict()
 # public lists directly — because the interpreter re-elaborates every
 # construction and the compiled engine must notice too.  Holding the
 # snapshotted items alive makes the identity comparison sound (a
-# replaced item can never alias a snapshotted one).
+# replaced item can never alias a snapshotted one).  The snapshot must
+# not hold the key module itself: a value that references its weak key
+# keeps the entry alive forever, and every module a campaign builds
+# would stay in memory.
 _PLAN_MEMO: "weakref.WeakKeyDictionary[Module, tuple[tuple, _Plan]]" = (
     weakref.WeakKeyDictionary()
 )
 
 
 def _structure(design: Design) -> tuple:
-    """Identity snapshot of every structural element per module.
-    Unmutated designs compare equal at pointer speed (tuple comparison
+    """Identity snapshot of every structural element per module (the
+    modules themselves are implied: the top is the memo key, and each
+    child is held by its parent's frozen ``Instance``).  Unmutated
+    designs compare equal at pointer speed (tuple comparison
     short-circuits on element identity)."""
     return tuple(
         (
-            module,
             tuple(module.ports),
             tuple(module.wires),
             tuple(module.assigns),
@@ -562,11 +575,37 @@ def _emit_reg_lines(
     return samples + commits
 
 
+def _emit_cycle(
+    interface: tuple[tuple[int, ...], tuple[int, ...], int],
+) -> list[str]:
+    """The fused wrapper ``_cycle(e, m)`` over interface slots
+    ``(ready inputs, strobes, ip_enable)``."""
+    ready, strobes, enable = interface
+    mask = " | ".join(
+        f"e[{slot}] << {bit}" if bit else f"e[{slot}]"
+        for bit, slot in enumerate(strobes)
+    )
+    return [
+        "def _cycle(e, m):",
+        *(
+            f"    e[{slot}] = m >> {bit} & 1" if bit
+            else f"    e[{slot}] = m & 1"
+            for bit, slot in enumerate(ready)
+        ),
+        "    _settle(e)",
+        f"    r = (e[{enable}], {mask or 0})",
+        "    _regs(e)",
+        "    return r",
+        "",
+    ]
+
+
 def _emit(
     elab: _Elaboration,
+    interface: tuple[tuple[int, ...], tuple[int, ...], int] | None = None,
 ) -> tuple[str, list[tuple[int, ...]], frozenset[int]]:
     """Lower a scheduled elaboration to (kernel source, ROM images,
-    pruned dead-target slots)."""
+    pruned dead-target slots); ``interface`` slots add ``_cycle``."""
     order = elab.schedule()
     const_slots: dict[int, int] = {}
     rom_tables: list[tuple[int, ...]] = []
@@ -623,11 +662,18 @@ def _emit(
             "def _settle_dead(e):",
             body(dead_lines, "    "),
             "",
+            # One copy each of the settle body and the register
+            # updates keeps the kernel's compile time down.
+            "def _regs(e):",
+            body(reg_lines, "    "),
+            "",
             "def _step(e, cycles):",
             "    for _ in range(cycles):",
-            body(reg_lines + settle_lines, "        "),
+            "        _regs(e)",
+            "        _settle(e)",
             "",
         ]
+        + (_emit_cycle(interface) if interface else [])
     )
     return source, rom_tables, dead_slots
 
@@ -642,7 +688,17 @@ def compile_design(design: Design | Module) -> _Plan:
         _ENGINE_STATS["memo_hits"] += 1
         return memoized[1]
     elab = _Elaboration(design)
-    source, rom_tables, dead_slots = _emit(elab)
+    interface = wrapper_interface(design.top)
+    interface_slots = None
+    if interface is not None:
+        top = {elab.names[slot]: slot for slot in range(elab.top_slots)}
+        ready, strobes = interface
+        interface_slots = (
+            tuple(top[name] for name in ready),
+            tuple(top[name] for name in strobes),
+            top["ip_enable"],
+        )
+    source, rom_tables, dead_slots = _emit(elab, interface_slots)
     key = (
         len(elab.names),
         source,
@@ -669,7 +725,7 @@ def compile_design(design: Design | Module) -> _Plan:
     for slot, name in enumerate(elab.names):
         name_slot.setdefault(name, slot)
     masks = [_mask(width) for width in elab.widths]
-    plan = _Plan(kernel, name_slot, masks)
+    plan = _Plan(kernel, name_slot, masks, interface)
     _PLAN_MEMO[design.top] = (structure, plan)
     return plan
 
@@ -690,8 +746,11 @@ class CompiledSimulator(Simulator):
         self._kernel = plan.kernel
         self._name_slot = plan.name_slot
         self._masks = plan.masks
+        self.interface = plan.interface
         self._env: list[int] = [0] * plan.kernel.n_slots
         self._dead_stale = False
+        # Set by wrapper_cycle, which skips the trailing settle.
+        self._settle_pending = False
         self.cycle = 0
         self.settle()
 
@@ -714,6 +773,8 @@ class CompiledSimulator(Simulator):
 
     def poke(self, name: str, value: int) -> None:
         """Drive a top-level input (propagates at the next settle/step)."""
+        if self._settle_pending:
+            self.settle()
         if self._dead_stale:
             # Flush pruned nets against the pre-poke environment so a
             # later peek sees exactly the values of the last settle.
@@ -728,14 +789,15 @@ class CompiledSimulator(Simulator):
 
     def peek(self, name: str) -> int:
         """Read a top-level signal's settled value."""
-        slot = self._slot(name)
-        if self._dead_stale and slot in self._kernel.dead_slots:
-            self._refresh_dead()
-        return self._env[slot]
+        return self._peek_slot(self._slot(name))
 
     def peek_flat(self, flat_name: str) -> int:
         """Read a hierarchical flat name, e.g. ``"sp0.state"``."""
-        slot = self._name_slot[flat_name]
+        return self._peek_slot(self._name_slot[flat_name])
+
+    def _peek_slot(self, slot: int) -> int:
+        if self._settle_pending:
+            self.settle()
         if self._dead_stale and slot in self._kernel.dead_slots:
             self._refresh_dead()
         return self._env[slot]
@@ -748,12 +810,28 @@ class CompiledSimulator(Simulator):
     def settle(self) -> None:
         """Propagate combinational logic (one straight-line pass)."""
         self._kernel.settle(self._env)
+        self._settle_pending = False
         if self._kernel.dead_slots:
             self._dead_stale = True
 
     def step(self, cycles: int = 1) -> None:
         """Advance the clock by ``cycles`` rising edges."""
+        if self._settle_pending:
+            self.settle()
         self._kernel.step(self._env, cycles)
         self.cycle += cycles
         if cycles and self._kernel.dead_slots:
             self._dead_stale = True
+
+    def wrapper_cycle(self, ready: int) -> tuple[int, int]:
+        """One wrapper clock cycle through the fused kernel ``cycle``:
+        the values of :meth:`InterpSimulator.wrapper_cycle
+        <repro.rtl.simulator.InterpSimulator.wrapper_cycle>`, with the
+        trailing settle deferred to the next access."""
+        cycle = self._kernel.cycle
+        if cycle is None:
+            raise SimulationError("module has no wrapper interface")
+        result = cycle(self._env, ready)
+        self.cycle += 1
+        self._settle_pending = True
+        return result

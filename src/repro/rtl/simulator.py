@@ -26,7 +26,9 @@ Two interchangeable engines implement these semantics:
 ``Simulator(design)`` dispatches on the ``engine`` argument (or the
 ``REPRO_RTL_ENGINE`` environment variable); both engines expose the
 identical ``poke``/``peek``/``peek_flat``/``settle``/``step``/``cycle``
-surface.
+surface, plus ``wrapper_cycle`` for modules with the uniform wrapper
+interface (:func:`wrapper_interface`): one whole wrapper clock cycle
+in a single call.
 """
 
 from __future__ import annotations
@@ -49,6 +51,39 @@ DEFAULT_ENGINE = "compiled"
 
 class SimulationError(RuntimeError):
     """Raised on combinational loops or unresolvable evaluation order."""
+
+
+#: Wrapper-interface ready input suffix (after ``_not_``) -> strobe.
+_STROBE_OF = {"empty": "_pop", "full": "_push"}
+
+
+def wrapper_interface(
+    module: Module,
+) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
+    """Top-level names of the uniform wrapper interface of
+    :mod:`repro.core.rtlgen.common`: ``(ready inputs, strobes)``.
+
+    The ready inputs are the ``<p>_not_empty`` and ``<p>_not_full``
+    inputs in port declaration order; strobe *k* is the ``<p>_pop`` or
+    ``<p>_push`` output of ready input *k*.  Bit *k* of a ready or
+    strobe mask is port *k* of its list.  None when the module has no
+    ``ip_enable`` output or a strobe is missing.
+    """
+    outputs = {port.name for port in module.output_ports}
+    if "ip_enable" not in outputs:
+        return None
+    ready: list[str] = []
+    strobes: list[str] = []
+    for port in module.input_ports:
+        base, sep, kind = port.name.rpartition("_not_")
+        strobe = _STROBE_OF.get(kind) if sep else None
+        if strobe is None:
+            continue  # clk, rst or a non-interface input
+        if base + strobe not in outputs:
+            return None
+        ready.append(port.name)
+        strobes.append(base + strobe)
+    return tuple(ready), tuple(strobes)
 
 
 def resolve_engine(engine: str | None) -> str:
@@ -149,6 +184,7 @@ class InterpSimulator(Simulator):
             ]
         ] = []
         self._top = design.top
+        self.interface = wrapper_interface(design.top)
         # name -> flat-name lookup for poke/peek, built once here: the
         # top module's signal names first (they win any collision),
         # then every hierarchical flat name mapping to itself.
@@ -298,6 +334,27 @@ class InterpSimulator(Simulator):
         for i in self._order:
             target, fn, _deps = self._comb[i]
             env[target] = fn()
+
+    def wrapper_cycle(self, ready: int) -> tuple[int, int]:
+        """One clock cycle of a wrapper module: drive its ready inputs
+        from the ``ready`` mask, settle, sample ``(ip_enable, strobe
+        mask)`` (bit order of :func:`wrapper_interface`), then step.
+        Built from :meth:`poke`/:meth:`settle`/:meth:`peek`/:meth:`step`
+        (the reference for the compiled engine's fused kernel)."""
+        if self.interface is None:
+            raise SimulationError(
+                f"module {self._top.name!r} has no wrapper interface"
+            )
+        ready_names, strobe_names = self.interface
+        for bit, name in enumerate(ready_names):
+            self.poke(name, ready >> bit & 1)
+        self.settle()
+        enable = self.peek("ip_enable")
+        strobes = 0
+        for bit, name in enumerate(strobe_names):
+            strobes |= self.peek(name) << bit
+        self.step()
+        return enable, strobes
 
     def step(self, cycles: int = 1) -> None:
         """Advance the clock by ``cycles`` rising edges."""

@@ -146,6 +146,7 @@ def run_variant(
 def _check_variant_progress(
     label: str,
     base_tokens: int,
+    base_deadlocked: bool,
     run: StyleRun,
     outcome: CaseOutcome,
 ) -> bool:
@@ -153,9 +154,18 @@ def _check_variant_progress(
     tokens at all while the base did (e.g. it deadlocked under the
     deeper segmentation) would otherwise pass every prefix check over
     empty data — exactly the failure class this oracle exists to
-    catch.  Returns True when the variant made progress."""
+    catch.  Returns True when the comparison may go ahead.
+
+    One exemption: the base run deadlocked too.  Then its stream is
+    only the finite prefix the topology delivers before it stops, and
+    where it stops depends on buffer capacity — a variant that drops a
+    relay station (capacity 2) can reach the same deadlock sooner,
+    before its first sink token.  An empty stream is a prefix of the
+    base's, so the stream checks still run on it."""
     moved = sum(len(stream) for stream in run.streams.values())
     if base_tokens == 0 or moved > 0:
+        return True
+    if base_deadlocked and run.deadlocked:
         return True
     outcome.checks += 1
     outcome.divergences.append(
@@ -223,6 +233,7 @@ def check_perturbations(
         if base.error is not None:
             return
         base_streams = base.streams
+        base_deadlocked = base.deadlocked
     else:
         # The style loop never ran the reference style: measure a base.
         base_run = run_variant(
@@ -243,6 +254,7 @@ def check_perturbations(
             )
             return
         base_streams = base_run.streams
+        base_deadlocked = base_run.deadlocked
     base_tokens = sum(
         len(stream) for stream in base_streams.values()
     )
@@ -255,12 +267,12 @@ def check_perturbations(
     for style in styles:
         style_base = runs.get(style)
         if style_base is not None and style_base.error is None:
-            base_progress[style] = sum(
-                len(stream)
-                for stream in style_base.streams.values()
+            base_progress[style] = (
+                sum(len(stream) for stream in style_base.streams.values()),
+                style_base.deadlocked,
             )
         else:
-            base_progress[style] = base_tokens
+            base_progress[style] = (base_tokens, base_deadlocked)
     pairs = cycle_exact_pairs(styles) if all_mode else ()
     for variant in variants:
         bounds, slack = _variant_bounds(variant.topology)
@@ -288,7 +300,7 @@ def check_perturbations(
                 )
                 continue
             if not _check_variant_progress(
-                label, base_progress[style], run, outcome
+                label, *base_progress[style], run, outcome
             ):
                 continue
             compare_stream_prefixes(

@@ -24,7 +24,7 @@ relay worker-side records over its result pipes):
   field, ``case`` and ``shrink`` spans a ``case`` index;
 * ``count`` — ``{kind, name, t, n}``: a monotonic counter increment
   (``supervise.*``, ``fault.*``, ``corpus.*``, ``rtl.*``,
-  ``shrink.*``);
+  ``lis.*``, ``shrink.*``);
 * ``gauge`` — ``{kind, name, t, value}``: a point-in-time level;
 * ``event`` — ``{kind, name, t, ...fields}``: a discrete occurrence
   (worker lifecycle, faults — chaos-injected ones tagged
@@ -251,16 +251,7 @@ class Rollup:
                 f"{timeouts} timeout(s), {retries} retr"
                 f"{'y' if retries == 1 else 'ies'}"
             )
-        hits = self.counters.get("rtl.cache.hits", 0)
-        misses = self.counters.get("rtl.cache.misses", 0)
-        if hits or misses:
-            rate = 100.0 * hits / (hits + misses)
-            lines.append(
-                f"  rtl kernel cache: {hits:.0f} hit(s) / "
-                f"{misses:.0f} miss(es) ({rate:.0f}%), "
-                f"{self.counters.get('rtl.cache.compile_ms', 0):.1f}ms "
-                "compiling"
-            )
+        lines.extend("  " + line for line in _render_engine(self.counters))
         tournaments = self.counters.get("corpus.tournaments", 0)
         if tournaments:
             mutants = self.counters.get("corpus.mutant_won", 0)
@@ -447,23 +438,56 @@ def event(name: str, **fields: Any) -> None:
 
 
 def engine_stats() -> dict[str, float]:
-    """Snapshot of :func:`repro.rtl.compile_sim.cache_stats` (imported
-    lazily so probes never drag the RTL engine in)."""
+    """Snapshot of the compile-cache counters, by counter name: the
+    RTL kernel cache (:func:`repro.rtl.compile_sim.cache_stats`) as
+    ``rtl.cache.*`` and the compiled system loop
+    (:func:`repro.lis.compiled.system_cache_stats`) as
+    ``lis.compile.*``.  Imported lazily so probes never drag the
+    engines in."""
+    from ..lis.compiled import system_cache_stats
     from ..rtl.compile_sim import cache_stats
 
-    return cache_stats()
+    stats = {f"rtl.cache.{k}": v for k, v in cache_stats().items()}
+    stats.update(
+        (f"lis.compile.{k}", v) for k, v in system_cache_stats().items()
+    )
+    return stats
 
 
 def emit_engine_delta(before: Mapping[str, float]) -> None:
-    """Emit the engine-counter movement since ``before`` as
-    ``rtl.cache.*`` counts (only keys that moved)."""
+    """Emit the engine-counter movement since ``before`` as counts
+    (only counters that moved)."""
     if _active is None:
         return
-    after = engine_stats()
-    for key, value in after.items():
-        delta = value - before.get(key, 0)
+    for name, value in engine_stats().items():
+        delta = value - before.get(name, 0)
         if delta:
-            count(f"rtl.cache.{key}", delta)
+            count(name, delta)
+
+
+def _render_engine(counters: Mapping[str, float]) -> list[str]:
+    """The RTL kernel cache and compiled-system lines of a summary."""
+    lines = []
+    hits = counters.get("rtl.cache.hits", 0)
+    misses = counters.get("rtl.cache.misses", 0)
+    if hits or misses:
+        rate = 100.0 * hits / (hits + misses)
+        lines.append(
+            f"rtl kernel cache: {hits:.0f} hit(s) / "
+            f"{misses:.0f} miss(es) ({rate:.0f}%), "
+            f"{counters.get('rtl.cache.compile_ms', 0):.1f}ms compiling"
+        )
+    hits = counters.get("lis.compile.hits", 0)
+    misses = counters.get("lis.compile.misses", 0)
+    fallbacks = counters.get("lis.compile.fallbacks", 0)
+    if hits or misses or fallbacks:
+        lines.append(
+            f"system compile: {hits:.0f} hit(s) / {misses:.0f} "
+            f"miss(es), "
+            f"{counters.get('lis.compile.compile_ms', 0):.1f}ms "
+            f"compiling, {fallbacks:.0f} run(s) on the step() path"
+        )
+    return lines
 
 
 # -- the JSONL sink ------------------------------------------------------------
@@ -652,6 +676,10 @@ def render_report(
     op_yield = _render_op_yield(rollup.counters)
     if op_yield:
         lines.append(f"mutation-operator yield (won/candidates): {op_yield}")
+    engine = _render_engine(rollup.counters)
+    if engine:
+        lines.append("compile caches:")
+        lines.extend("  " + line for line in engine)
     return "\n".join(lines)
 
 
@@ -687,7 +715,12 @@ def render_compare(
             f"  {name:<9} {before:>8.2f}s -> {after:>8.2f}s  "
             f"{ratio}{flag}"
         )
-    for counter in ("fault.injected", "fault.organic", "shrink.attempts"):
+    for counter in (
+        "fault.injected",
+        "fault.organic",
+        "shrink.attempts",
+        "lis.compile.fallbacks",
+    ):
         before = rollups[0].counters.get(counter, 0)
         after = rollups[1].counters.get(counter, 0)
         if before or after:

@@ -86,6 +86,83 @@ class TestGoldenModuleParity:
         )
 
 
+def _assert_cycle_parity(module, cycles: int, seed: int) -> None:
+    """``wrapper_cycle`` on both engines under identical random ready
+    masks: same returns, and the same flat environment whenever it is
+    read — the compiled engine settles lazily after a fused cycle, so
+    peeks, pokes and steps in between must flush it exactly."""
+    interp = InterpSimulator(module)
+    compiled = CompiledSimulator(module)
+    assert compiled.interface == interp.interface is not None
+    width = len(interp.interface[0])
+    names = interp.flat_names()
+    rng = random.Random(seed)
+    for sim in (interp, compiled):
+        sim.poke("rst", 1)
+        sim.step()
+        sim.poke("rst", 0)
+    for cycle in range(cycles):
+        ready = rng.getrandbits(width) if width else 0
+        assert interp.wrapper_cycle(ready) == compiled.wrapper_cycle(
+            ready
+        ), f"cycle {cycle}"
+        assert interp.cycle == compiled.cycle
+        action = rng.randrange(5)
+        if action == 0:
+            for name in names:
+                assert interp.peek_flat(name) == compiled.peek_flat(
+                    name
+                ), f"cycle {cycle}, signal {name!r}"
+        elif action == 1:
+            interp.step()
+            compiled.step()
+        elif action == 2 and width:
+            name = interp.interface[0][rng.randrange(width)]
+            value = rng.getrandbits(1)
+            interp.poke(name, value)
+            compiled.poke(name, value)
+            interp.step()
+            compiled.step()
+
+
+class TestWrapperCycleParity:
+    @pytest.mark.parametrize("style", SYNTH_STYLES)
+    def test_golden_wrapper_styles(self, style):
+        module = synthesize_wrapper(
+            _reference_schedule(),
+            style,
+            name=f"cyc_{style.replace('-', '_')}",
+        ).module
+        _assert_cycle_parity(
+            module, cycles=200, seed=SYNTH_STYLES.index(style)
+        )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_topology_wrappers(self, seed):
+        node = random_topology(seed).processes[0]
+        program = compile_schedule(
+            node.schedule, CompilerOptions(fuse=False)
+        )
+        _assert_cycle_parity(
+            generate_sp_wrapper(
+                program, name=f"sp_{node.name}", schedule=node.schedule
+            ),
+            cycles=80,
+            seed=seed,
+        )
+
+    def test_module_without_interface_rejects_wrapper_cycle(self):
+        module = Module("plain")
+        a = module.input("a")
+        y = module.output("y")
+        module.assign(y, a)
+        for engine in ("compiled", "interp"):
+            sim = Simulator(module, engine=engine)
+            assert sim.interface is None
+            with pytest.raises(SimulationError, match="wrapper interface"):
+                sim.wrapper_cycle(1)
+
+
 class TestRandomTopologyParity:
     """Same pokes -> identical peeks, cycle counts and flat_names over
     the wrapper modules of >= 20 seeded random topologies."""
@@ -256,6 +333,19 @@ class TestKernelCache:
             {"module": "c", "rst": "rst", "en": "en", "count": "q"}
         )
         assert compile_design(m) is compile_design(m)
+
+    def test_plan_memo_releases_dropped_modules(self):
+        import gc
+        import weakref
+
+        m = _cloned_counter(
+            {"module": "gone", "rst": "rst", "en": "en", "count": "q"}
+        )
+        CompiledSimulator(m)
+        alive = weakref.ref(m)
+        del m
+        gc.collect()
+        assert alive() is None
 
     def test_structural_twins_share_kernel(self):
         a = _cloned_counter(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import pathlib
 from dataclasses import replace
 
 import pytest
@@ -28,7 +29,9 @@ from repro.sched.generate import (
 )
 from repro.verify import (
     BatchConfig,
+    CaseOutcome,
     CoverageReport,
+    StyleRun,
     VerifyCase,
     case_variants,
     diff_coverage,
@@ -37,7 +40,16 @@ from repro.verify import (
     run_variant,
     shrink_case,
 )
-from repro.verify.perturb import reference_style
+from repro.verify.perturb import _check_variant_progress, reference_style
+
+#: Seed 11, case 44 of ``repro verify --perturb 2 --perturb-dynamic
+#: --perturb-styles all``, pinned to its ``resegment1`` variant: a
+#: rate-inconsistent topology whose base run deadlocks after one sink
+#: token, while the variant (one relay station fewer on a channel)
+#: deadlocks before its first.
+BASE_DEADLOCK_REPRO = (
+    pathlib.Path(__file__).parent / "data" / "perturb_base_deadlock.json"
+)
 
 
 def _case(topology, **kwargs):
@@ -297,6 +309,55 @@ class TestPerturbOracle:
             if d.check == "perturb-streams"
         )
         assert "moved no tokens" in divergence.detail
+
+    @pytest.mark.parametrize(
+        "base_deadlocked, variant_deadlocked, fires",
+        [
+            (False, True, True),  # live base, dead variant
+            (False, False, True),  # live base, variant cut short
+            (True, False, True),  # dead base, variant cut short
+            (True, True, False),  # both deadlock: a prefix, not vacuous
+        ],
+    )
+    def test_progress_guard_exempts_only_a_shared_deadlock(
+        self, base_deadlocked, variant_deadlocked, fires
+    ):
+        run = StyleRun(
+            streams={"snk0": []}, traces={}, periods={}, executed=86,
+            deadlocked=variant_deadlocked,
+        )
+        outcome = CaseOutcome(index=0, seed=0)
+        passed = _check_variant_progress(
+            "resegment1", 1, base_deadlocked, run, outcome
+        )
+        assert passed is not fires
+        assert len(outcome.divergences) == int(fires)
+
+    def test_base_deadlock_reproducer_is_not_vacuous(self):
+        """The pinned reproducer: every style's base run deadlocks
+        after one sink token and the variant before its first; the
+        shared deadlock is no vacuity finding."""
+        data = json.loads(BASE_DEADLOCK_REPRO.read_text())
+        topology = topology_from_dict(data)
+        variant = variant_from_dict(data["variants"][0])
+        case = _case(
+            topology,
+            cycles=data["cycles"],
+            styles=tuple(data["styles"]),
+            perturb=1,
+            perturb_styles="all",
+            perturb_dynamic=True,
+            variants=(variant,),
+        )
+        base = run_variant(topology, "fsm", case.cycles)
+        assert base.deadlocked
+        assert sum(map(len, base.streams.values())) == 1
+        dead = run_variant(variant.topology, "fsm", case.cycles)
+        assert dead.deadlocked
+        assert sum(map(len, dead.streams.values())) == 0
+        outcome = run_case(case)
+        assert outcome.ok, [str(d) for d in outcome.divergences]
+        assert main(["verify", "--repro", str(BASE_DEADLOCK_REPRO)]) == 0
 
     def test_crashed_reference_style_not_reported_twice(self):
         """When the reference style already crashed in the style loop,

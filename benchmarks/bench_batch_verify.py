@@ -111,9 +111,6 @@ class _SeedSPWrapper(SPWrapper):
         yield from self.in_ports.values()
         yield from self.out_ports.values()
 
-    def phase_parts(self):
-        return [self.produce], [self.consume], [self.commit]
-
     def _wrapper_step(self, cycle):
         in_ready = 0
         for bit, name in enumerate(self.pearl.schedule.inputs):

@@ -5,10 +5,11 @@ Two pieces:
 * :class:`RTLShell` — a shell whose firing decisions come from
   cycle-accurately simulating a *generated wrapper module* (SP, FSM or
   shift-register RTL).  It drives the RTL's ``not_empty``/``not_full``
-  inputs from the real FIFO ports, obeys the RTL's
-  ``pop``/``push``/``ip_enable`` outputs, and cross-checks every strobe
-  against the expected schedule — any divergence raises
-  :class:`EquivalenceError` with the offending cycle.
+  inputs from the real FIFO ports and checks the RTL's
+  ``pop``/``push``/``ip_enable`` outputs against the operation stream
+  every shell executes (:mod:`repro.lis.shell`): the RTL supplies the
+  firing decision, the shared executor performs it, and any strobe
+  divergence raises :class:`EquivalenceError` with the offending cycle.
 * :func:`co_simulate` — runs a behavioural wrapper and an RTL wrapper
   in twin systems fed identical stimuli and compares their cycle-level
   enable traces and token-level outputs.
@@ -38,45 +39,6 @@ class EquivalenceError(AssertionError):
     """Raised when RTL and expected behaviour diverge."""
 
 
-@dataclass(frozen=True)
-class _ScriptEntry:
-    """One expected operation fire: masks to verify + pearl bookkeeping."""
-
-    kind: str  # "sync" (head: pop/push + on_sync) or "cont"
-    point_index: int
-    in_mask: int
-    out_mask: int
-    run: int
-    first_phase: int = 0
-
-
-def _script_from_program(program: SPProgram) -> list[_ScriptEntry]:
-    return [
-        _ScriptEntry(
-            kind="sync" if op.is_head else "cont",
-            point_index=op.point_index,
-            in_mask=op.in_mask,
-            out_mask=op.out_mask,
-            run=op.run,
-            first_phase=op.first_phase,
-        )
-        for op in program.ops
-    ]
-
-
-def _script_from_schedule(schedule) -> list[_ScriptEntry]:
-    return [
-        _ScriptEntry(
-            kind="sync",
-            point_index=index,
-            in_mask=schedule.input_mask(point),
-            out_mask=schedule.output_mask(point),
-            run=point.run,
-        )
-        for index, point in enumerate(schedule.points)
-    ]
-
-
 class RTLShell(Shell):
     """Patient process driven by simulated wrapper RTL.
 
@@ -102,14 +64,7 @@ class RTLShell(Shell):
         super().__init__(pearl, port_depth)
         self.module = module
         self.engine = engine
-        self._script = (
-            _script_from_program(program)
-            if program is not None
-            else _script_from_schedule(pearl.schedule)
-        )
-        self._script_pos = 0
-        self._rtl_run_left = 0
-        self._phase_next = 0
+        self.program = program
         self.rtl = Simulator(module, engine=engine)
         ins = [sanitize(name) for name in pearl.schedule.inputs]
         outs = [sanitize(name) for name in pearl.schedule.outputs]
@@ -123,12 +78,6 @@ class RTLShell(Shell):
                 f"module {module.name!r} does not expose the wrapper "
                 "interface in schedule port order"
             )
-        # Ready and strobe masks hold the inputs in bits [0, n_in) and
-        # the outputs above them.
-        self._n_in = len(ins)
-        # (mask bit, port) pairs, bound on first use (ports are bound
-        # after construction).
-        self._ready_bits: tuple[list, list] | None = None
         self._apply_reset()
 
     def _apply_reset(self) -> None:
@@ -137,105 +86,42 @@ class RTLShell(Shell):
         self.rtl.poke("rst", 0)
 
     def _wrapper_step(self, cycle: int) -> None:
-        ready_bits = self._ready_bits
-        if ready_bits is None:
-            schedule = self.pearl.schedule
-            ready_bits = self._ready_bits = (
-                [
-                    (1 << bit, self.in_ports[name])
-                    for bit, name in enumerate(schedule.inputs)
-                ],
-                [
-                    (1 << (self._n_in + bit), self.out_ports[name])
-                    for bit, name in enumerate(schedule.outputs)
-                ],
-            )
-        ready = 0
-        for bit, port in ready_bits[0]:
-            if port.not_empty:
-                ready |= bit
-        for bit, port in ready_bits[1]:
-            if port.not_full:
-                ready |= bit
-        enable, strobes = self.rtl.wrapper_cycle(ready)
-
+        # Ready and strobe masks share the op masks' layout: inputs in
+        # bits [0, n_in), outputs above them.
+        enable, strobes = self.rtl.wrapper_cycle(self._ready())
         if not enable:
             if strobes:
                 raise EquivalenceError(
                     f"{self.name!r} cycle {cycle}: pop/push strobes "
                     "asserted while ip_enable low"
                 )
-            self.stall_cycles += 1
-            if self.trace_enable is not None:
-                self.trace_enable.append(False)
+            self._tick(False)
             return
-
-        n_in = self._n_in
-        self._execute_enabled(
-            cycle, strobes & ((1 << n_in) - 1), strobes >> n_in
-        )
-        self.pearl._clocked()
-        self.enabled_cycles += 1
-        if self.trace_enable is not None:
-            self.trace_enable.append(True)
-
-    def _execute_enabled(
-        self, cycle: int, pop_mask: int, push_mask: int
-    ) -> None:
-        schedule = self.pearl.schedule
-        if self._rtl_run_left > 0:
-            if pop_mask or push_mask:
+        if self._run_left:
+            if strobes:
                 raise EquivalenceError(
                     f"{self.name!r} cycle {cycle}: strobes asserted "
                     "during an expected free-run cycle"
                 )
-            self.pearl.on_run(self._running_point, self._phase_next)
-            self._phase_next += 1
-            self._rtl_run_left -= 1
-            return
-
-        entry = self._script[self._script_pos]
-        if (pop_mask, push_mask) != (entry.in_mask, entry.out_mask):
-            raise EquivalenceError(
-                f"{self.name!r} cycle {cycle}: RTL strobes "
-                f"(pop={pop_mask:#x}, push={push_mask:#x}) != expected "
-                f"(pop={entry.in_mask:#x}, push={entry.out_mask:#x}) at "
-                f"script position {self._script_pos}"
-            )
-        if entry.kind == "sync":
-            popped: dict[str, Any] = {}
-            for bit, name in enumerate(schedule.inputs):
-                if entry.in_mask >> bit & 1:
-                    popped[name] = self.in_ports[name].pop()
-            pushed = dict(
-                self.pearl.on_sync(entry.point_index, popped) or {}
-            )
-            expected = schedule.outputs_from_mask(entry.out_mask)
-            if set(pushed) != set(expected):
-                raise ShellError(
-                    f"pearl {self.pearl.name!r} produced {sorted(pushed)} "
-                    f"at point {entry.point_index}, expected "
-                    f"{sorted(expected)}"
-                )
-            for name, value in sorted(pushed.items()):
-                self.out_ports[name].push(value)
-            self._phase_next = 0
+            self._free_run()
         else:
-            self.pearl.on_run(entry.point_index, entry.first_phase)
-            self._phase_next = entry.first_phase + 1
-        self._running_point = entry.point_index
-        self._rtl_run_left = entry.run
-        self._script_pos += 1
-        if self._script_pos == len(self._script):
-            self._script_pos = 0
-            self.periods_completed += 1
+            op = self._ops[self._op_index]
+            if strobes != op.mask:
+                n_in = self._n_in
+                low = (1 << n_in) - 1
+                raise EquivalenceError(
+                    f"{self.name!r} cycle {cycle}: RTL strobes "
+                    f"(pop={strobes & low:#x}, push={strobes >> n_in:#x}) "
+                    f"!= expected (pop={op.mask & low:#x}, "
+                    f"push={op.mask >> n_in:#x}) at script position "
+                    f"{self._op_index}"
+                )
+            self._fire(op)
+        self._tick(True)
 
     def reset(self) -> None:
         super().reset()
         self.rtl = Simulator(self.module, engine=self.engine)
-        self._script_pos = 0
-        self._rtl_run_left = 0
-        self._phase_next = 0
         self._apply_reset()
 
 

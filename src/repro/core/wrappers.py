@@ -13,9 +13,13 @@
   activation pattern: fires blindly on a precomputed pattern, correct
   only when every stream is perfectly regular.
 
-All four run the same pearl and the same functional schedule inside the
-same LIS simulation, so throughput/latency differences measured by the
-benches are attributable purely to the synchronization policy.
+Each style supplies only its firing decision; the base
+:class:`~repro.lis.shell.Shell` executes the one operation stream they
+share (pops, ``on_sync``, pushes, free-run phases, period wrap).  All
+four therefore run the same pearl and the same functional schedule
+inside the same LIS simulation, so throughput/latency differences
+measured by the benches are attributable purely to the
+synchronization policy.
 """
 
 from __future__ import annotations
@@ -27,16 +31,18 @@ from ..lis.pearl import Pearl
 from ..lis.port import DEFAULT_PORT_DEPTH
 from ..lis.shell import Shell, ShellError
 from .compiler import CompilerOptions, compile_schedule
-from .processor import SPState, SyncProcessor
+from .processor import SyncProcessor
 
 
 class SPWrapper(Shell):
     """Patient process whose shell is a synchronization processor.
 
     The shell compiles the pearl's schedule into an SP program at
-    construction and then *executes the program*, including the reset
-    cycle and any continuation operations introduced by run-counter
-    overflow — cycle-for-cycle the behaviour of the generated RTL.
+    construction; its ops are the shell's operation stream, and the
+    behavioural :class:`SyncProcessor` decides every cycle — including
+    the reset cycle and any continuation operations introduced by
+    run-counter overflow — cycle-for-cycle the behaviour of the
+    generated RTL.
     """
 
     style = "sp"
@@ -54,84 +60,23 @@ class SPWrapper(Shell):
         options = replace(options or CompilerOptions(), fuse=False)
         self.program = compile_schedule(pearl.schedule, options)
         self.processor = SyncProcessor(self.program)
-        self._phase_next = 0
-        self._ordered_in: list | None = None
-        self._ordered_out: list | None = None
 
-    # The SP drives everything from its program; bypass the base class's
-    # generic scheduler.
     def _wrapper_step(self, cycle: int) -> None:
-        ordered_in = self._ordered_in
-        if ordered_in is None:
-            # Ports are bound after construction; snapshot them in mask
-            # bit order on first use.
-            ordered_in = self._ordered_in = [
-                self.in_ports[name]
-                for name in self.pearl.schedule.inputs
-            ]
-            self._ordered_out = [
-                self.out_ports[name]
-                for name in self.pearl.schedule.outputs
-            ]
-        in_ready = 0
-        for bit, port in enumerate(ordered_in):
-            if port.not_empty:
-                in_ready |= 1 << bit
-        out_ready = 0
-        for bit, port in enumerate(self._ordered_out):
-            if port.not_full:
-                out_ready |= 1 << bit
-        action = self.processor.step(in_ready, out_ready)
-
-        if not action.enable:
-            self.stall_cycles += 1
-            if self.trace_enable is not None:
-                self.trace_enable.append(False)
-            return
-
-        if action.op is not None:
-            op = action.op
-            if op.is_head:
-                popped = {
-                    name: self.in_ports[name].pop()
-                    for bit, name in enumerate(self.pearl.schedule.inputs)
-                    if op.in_mask >> bit & 1
-                }
-                pushed = dict(
-                    self.pearl.on_sync(op.point_index, popped) or {}
-                )
-                expected = self.pearl.schedule.outputs_from_mask(
-                    op.out_mask
-                )
-                if set(pushed) != set(expected):
-                    raise ShellError(
-                        f"pearl {self.pearl.name!r} produced "
-                        f"{sorted(pushed)} at point {op.point_index}, "
-                        f"operation expects {sorted(expected)}"
-                    )
-                for name, value in sorted(pushed.items()):
-                    self.out_ports[name].push(value)
-                self._phase_next = 0
+        ready = self._ready()
+        n_in = self._n_in
+        action = self.processor.step(
+            ready & ((1 << n_in) - 1), ready >> n_in
+        )
+        if action.enable:
+            if action.op is None:
+                self._free_run()  # FREE_RUN state cycle
             else:
-                # Continuation op: its fire cycle is one free-run phase.
-                self.pearl.on_run(op.point_index, op.first_phase)
-                self._phase_next = op.first_phase + 1
-            self._running_point = op.point_index
-        else:
-            # FREE_RUN state cycle.
-            self.pearl.on_run(self._running_point, self._phase_next)
-            self._phase_next += 1
-
-        self.pearl._clocked()
-        self.enabled_cycles += 1
-        self.periods_completed = self.processor.periods_completed
-        if self.trace_enable is not None:
-            self.trace_enable.append(True)
+                self._fire(self._ops[action.addr])
+        self._tick(action.enable)
 
     def reset(self) -> None:
         super().reset()
         self.processor.reset()
-        self._phase_next = 0
 
 
 class FSMWrapper(Shell):
@@ -144,13 +89,14 @@ class FSMWrapper(Shell):
 
     style = "fsm"
 
-    def _sync_ready(self) -> bool:
-        point = self.pearl.schedule.points[self._point_index]
-        return all(
-            self.in_ports[name].not_empty for name in point.inputs
-        ) and all(
-            self.out_ports[name].not_full for name in point.outputs
-        )
+    def _sync_ready(self, op) -> bool:
+        for _, port in op.pops:
+            if not port.not_empty:
+                return False
+        for _, port in op.pushes:
+            if not port.not_full:
+                return False
+        return True
 
 
 class CombinationalWrapper(Shell):
@@ -165,11 +111,9 @@ class CombinationalWrapper(Shell):
     style = "combinational"
 
     def _all_ports_ready(self) -> bool:
-        return all(
-            port.not_empty for port in self.in_ports.values()
-        ) and all(port.not_full for port in self.out_ports.values())
+        return self._ready() == (1 << self.pearl.schedule.n_ports) - 1
 
-    def _sync_ready(self) -> bool:
+    def _sync_ready(self, op) -> bool:
         return self._all_ports_ready()
 
     def _run_gate_ok(self) -> bool:
@@ -234,42 +178,31 @@ class ShiftRegisterWrapper(Shell):
         return fire
 
     def _wrapper_step(self, cycle: int) -> None:
-        fire = self._next_fire()
-        if not fire:
-            self.stall_cycles += 1
-            if self.trace_enable is not None:
-                self.trace_enable.append(False)
+        if not self._next_fire():
+            self._tick(False)
             return
-        if self._run_left > 0:
-            phase = (
-                self.pearl.schedule.points[self._running_point].run
-                - self._run_left
-            )
-            self.pearl.on_run(self._running_point, phase)
-            self._run_left -= 1
+        if self._run_left:
+            self._free_run()
         else:
-            point = self.pearl.schedule.points[self._point_index]
-            for name in point.inputs:
-                if not self.in_ports[name].not_empty:
+            op = self._ops[self._op_index]
+            for name, port in op.pops:
+                if not port.not_empty:
                     raise ShellError(
                         f"static schedule violated: {self.name!r} input "
                         f"{name!r} empty at cycle {cycle} (irregular "
                         "stream — shift-register wrappers require "
                         "perfectly regular environments)"
                     )
-            for name in point.outputs:
-                if not self.out_ports[name].not_full:
+            for name, port in op.pushes:
+                if not port.not_full:
                     raise ShellError(
                         f"static schedule violated: {self.name!r} output "
                         f"{name!r} full at cycle {cycle} (downstream "
                         "backpressure — shift-register wrappers cannot "
                         "absorb it)"
                     )
-            self._fire_sync()
-        self.pearl._clocked()
-        self.enabled_cycles += 1
-        if self.trace_enable is not None:
-            self.trace_enable.append(True)
+            self._fire(op)
+        self._tick(True)
 
     def reset(self) -> None:
         super().reset()

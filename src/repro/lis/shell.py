@@ -3,13 +3,20 @@
 A shell turns a :class:`~repro.lis.pearl.Pearl` into a *patient
 process*: it owns the pearl's FIFO ports, decides each cycle whether
 the pearl clock fires, and performs the port pops/pushes of the sync
-point being executed.  Concrete firing policies live in
-:mod:`repro.core.wrappers`:
+point being executed.
 
-* ``SPWrapper`` / ``FSMWrapper`` — test only the current sync point's
-  port subsets (the paper's behaviour and Singh & Theobald's);
+Every shell executes one cyclic *operation stream*, built when its
+ports are bound: one head op per sync point, or its SP program's ops
+(heads plus run-counter continuation ops).  :class:`Shell` alone
+executes the stream; a wrapper style (:mod:`repro.core.wrappers`,
+:class:`repro.core.equivalence.RTLShell`) supplies only its firing
+decision:
+
+* ``FSMWrapper`` — the current op's port subsets (Singh & Theobald);
+* ``SPWrapper`` — its synchronization processor (the paper's);
 * ``CombinationalWrapper`` — Carloni's all-ports condition;
-* ``ShiftRegisterWrapper`` — Casu & Macchiarulo's blind static pattern.
+* ``ShiftRegisterWrapper`` — Casu & Macchiarulo's static pattern;
+* ``RTLShell`` — simulated wrapper RTL.
 
 All styles execute the same schedule, so they are functionally
 equivalent whenever they do not deadlock; they differ in *when* the
@@ -18,9 +25,9 @@ pearl clock fires, which is what the throughput benches measure.
 
 from __future__ import annotations
 
-from typing import Any
+from dataclasses import dataclass
 
-from .pearl import Pearl, PearlError
+from .pearl import Pearl
 from .port import DEFAULT_PORT_DEPTH, InputPort, OutputPort
 from .signals import Block, Link
 
@@ -29,10 +36,32 @@ class ShellError(RuntimeError):
     """Raised for wiring mistakes or schedule violations."""
 
 
+@dataclass(frozen=True, slots=True)
+class _Op:
+    """One op of the stream.  A head op pops ``pops`` and pushes
+    ``pushes`` ((name, port) pairs in schedule order) around
+    ``on_sync``; a continuation op's fire cycle is free-run phase
+    ``first_phase``.  ``run`` free-run cycles follow, ending before
+    phase ``phase_end``.  ``mask``: inputs in bits [0, n_in), outputs
+    above."""
+
+    point: int
+    head: bool
+    pops: tuple[tuple[str, InputPort], ...]
+    pushes: tuple[tuple[str, OutputPort], ...]
+    outputs: frozenset[str]
+    mask: int
+    run: int
+    first_phase: int
+    phase_end: int
+
+
 class Shell(Block):
-    """Base patient-process wrapper around one pearl."""
+    """Base patient-process wrapper around one pearl: executes the
+    operation stream; styles decide when it advances."""
 
     style = "abstract"
+    program = None  # an SP program's ops replace one op per point
 
     def __init__(
         self, pearl: Pearl, port_depth: int = DEFAULT_PORT_DEPTH
@@ -42,50 +71,44 @@ class Shell(Block):
         self.port_depth = port_depth
         self.in_ports: dict[str, InputPort] = {}
         self.out_ports: dict[str, OutputPort] = {}
-        self._point_index = 0
+        self._op_index = 0
         self._run_left = 0
-        self._running_point = 0
+        self._running: _Op | None = None
         self.enabled_cycles = 0
         self.stall_cycles = 0
         self.periods_completed = 0
         self.trace_enable: list[bool] | None = None
-        self._port_cache: list[InputPort | OutputPort] | None = None
 
     # -- wiring ------------------------------------------------------------------
 
     def bind_input(self, port_name: str, link: Link) -> InputPort:
-        if port_name not in self.pearl.inputs:
-            raise ShellError(
-                f"{self.name!r} has no input port {port_name!r}"
-            )
-        if port_name in self.in_ports:
-            raise ShellError(
-                f"input port {port_name!r} of {self.name!r} already bound"
-            )
-        port = InputPort(
-            f"{self.name}.{port_name}", link, self.port_depth
+        return self._bind(
+            "input", port_name, link, self.pearl.inputs, self.in_ports,
+            InputPort,
         )
-        self.in_ports[port_name] = port
-        self._port_cache = None
-        return port
 
     def bind_output(self, port_name: str, link: Link) -> OutputPort:
-        if port_name not in self.pearl.outputs:
+        return self._bind(
+            "output", port_name, link, self.pearl.outputs, self.out_ports,
+            OutputPort,
+        )
+
+    def _bind(self, kind, port_name, link, names, ports, port_cls):
+        if port_name not in names:
             raise ShellError(
-                f"{self.name!r} has no output port {port_name!r}"
+                f"{self.name!r} has no {kind} port {port_name!r}"
             )
-        if port_name in self.out_ports:
+        if port_name in ports:
             raise ShellError(
-                f"output port {port_name!r} of {self.name!r} already bound"
+                f"{kind} port {port_name!r} of {self.name!r} already bound"
             )
-        port = OutputPort(
+        port = ports[port_name] = port_cls(
             f"{self.name}.{port_name}", link, self.port_depth
         )
-        self.out_ports[port_name] = port
-        self._port_cache = None
         return port
 
     def check_bound(self) -> None:
+        """Reject unbound ports, then build the operation stream."""
         missing = [
             name for name in self.pearl.inputs if name not in self.in_ports
         ] + [
@@ -96,27 +119,47 @@ class Shell(Block):
                 f"patient process {self.name!r} has unbound ports: "
                 f"{missing}"
             )
+        schedule = self.pearl.schedule
+        ins = [(name, self.in_ports[name]) for name in schedule.inputs]
+        outs = [(name, self.out_ports[name]) for name in schedule.outputs]
+        n_in = self._n_in = len(ins)
+        self._in_bits = [(1 << bit, port) for bit, (_, port) in enumerate(ins)]
+        self._out_bits = [
+            (1 << (n_in + bit), port) for bit, (_, port) in enumerate(outs)
+        ]
+        if self.program is not None:
+            specs = [
+                (op.point_index, op.is_head, op.in_mask, op.out_mask,
+                 op.run, op.first_phase)
+                for op in self.program.ops
+            ]
+        else:
+            specs = [
+                (index, True, schedule.input_mask(point),
+                 schedule.output_mask(point), point.run, 0)
+                for index, point in enumerate(schedule.points)
+            ]
+        self._ops = []
+        for point, head, in_mask, out_mask, run, first_phase in specs:
+            pushes = tuple(
+                pair for bit, pair in enumerate(outs) if out_mask >> bit & 1
+            )
+            self._ops.append(_Op(
+                point=point,
+                head=head,
+                pops=tuple(
+                    pair for bit, pair in enumerate(ins) if in_mask >> bit & 1
+                ),
+                pushes=pushes,
+                outputs=frozenset(name for name, _ in pushes),
+                mask=in_mask | out_mask << n_in,
+                run=run,
+                first_phase=first_phase,
+                phase_end=run if head else first_phase + 1 + run,
+            ))
 
     def _ports(self) -> list[InputPort | OutputPort]:
-        ports = self._port_cache
-        if ports is None:
-            ports = self._port_cache = [
-                *self.in_ports.values(),
-                *self.out_ports.values(),
-            ]
-        return ports
-
-    # -- firing policy (overridden by wrapper styles) -----------------------------
-
-    def _sync_ready(self) -> bool:
-        """May the current sync point fire this cycle?"""
-        raise NotImplementedError
-
-    def _run_gate_ok(self) -> bool:
-        """May a free-run cycle proceed this cycle?  The paper's SP and
-        the FSM grant free-run cycles unconditionally; Carloni's
-        combinational wrapper keeps testing every port."""
-        return True
+        return [*self.in_ports.values(), *self.out_ports.values()]
 
     # -- two-phase protocol ----------------------------------------------------------
 
@@ -133,50 +176,86 @@ class Shell(Block):
         for port in self._ports():
             port.commit()
 
-    def phase_parts(self):
-        cls = type(self)
-        if (
-            cls.produce is not Shell.produce
-            or cls.consume is not Shell.consume
-            or cls.commit is not Shell.commit
-        ):
-            # A subclass replaced a phase wholesale; don't flatten.
-            return super().phase_parts()
-        ports = self._ports()
-        return (
-            [port.produce for port in ports],
-            [port.consume for port in ports] + [self._wrapper_step],
-            [port.commit for port in ports],
-        )
-
     def reset(self) -> None:
         for port in self._ports():
             port.reset()
         self.pearl.on_reset()
-        self._point_index = 0
+        self._op_index = 0
         self._run_left = 0
-        self._running_point = 0
+        self._running = None
         self.enabled_cycles = 0
         self.stall_cycles = 0
         self.periods_completed = 0
 
-    # -- the wrapper step ---------------------------------------------------------------
+    # -- firing decision (supplied by wrapper styles) -----------------------------
+
+    def _sync_ready(self, op: _Op) -> bool:
+        """May ``op``, the current op, fire this cycle?"""
+        raise NotImplementedError
+
+    def _run_gate_ok(self) -> bool:
+        """May a free-run cycle proceed this cycle?  The paper's SP and
+        the FSM grant free-run cycles unconditionally; Carloni's
+        combinational wrapper keeps testing every port."""
+        return True
 
     def _wrapper_step(self, cycle: int) -> None:
-        enabled = False
-        if self._run_left > 0:
-            if self._run_gate_ok():
-                phase = (
-                    self.pearl.schedule.points[self._running_point].run
-                    - self._run_left
-                )
-                self.pearl.on_run(self._running_point, phase)
-                self._run_left -= 1
-                enabled = True
+        if self._run_left:
+            enabled = self._run_gate_ok()
+            if enabled:
+                self._free_run()
         else:
-            if self._sync_ready():
-                self._fire_sync()
-                enabled = True
+            op = self._ops[self._op_index]
+            enabled = self._sync_ready(op)
+            if enabled:
+                self._fire(op)
+        self._tick(enabled)
+
+    def _ready(self) -> int:
+        """Ready mask: bit i set when input i is not empty, bit n_in + j
+        when output j is not full (schedule port order)."""
+        ready = 0
+        for bit, port in self._in_bits:
+            if port.not_empty:
+                ready |= bit
+        for bit, port in self._out_bits:
+            if port.not_full:
+                ready |= bit
+        return ready
+
+    # -- the operation executor ------------------------------------------------------
+
+    def _fire(self, op: _Op) -> None:
+        """Execute ``op`` (the current op) and advance the stream."""
+        if op.head:
+            popped = {name: port.pop() for name, port in op.pops}
+            pushed = self.pearl.on_sync(op.point, popped) or {}
+            if pushed.keys() != op.outputs:
+                raise ShellError(
+                    f"pearl {self.pearl.name!r} produced {sorted(pushed)} "
+                    f"at sync point {op.point}, schedule says "
+                    f"{sorted(op.outputs)}"
+                )
+            for name, port in op.pushes:
+                port.push(pushed[name])
+        else:
+            self.pearl.on_run(op.point, op.first_phase)
+        self._running = op
+        self._run_left = op.run
+        index = self._op_index + 1
+        if index == len(self._ops):
+            index = 0
+            self.periods_completed += 1
+        self._op_index = index
+
+    def _free_run(self) -> None:
+        """One free-run cycle of the last fired op."""
+        op = self._running
+        self.pearl.on_run(op.point, op.phase_end - self._run_left)
+        self._run_left -= 1
+
+    def _tick(self, enabled: bool) -> None:
+        """Account one cycle: the pearl clock fired or stalled."""
         if enabled:
             self.pearl._clocked()
             self.enabled_cycles += 1
@@ -185,38 +264,7 @@ class Shell(Block):
         if self.trace_enable is not None:
             self.trace_enable.append(enabled)
 
-    def _fire_sync(self) -> None:
-        schedule = self.pearl.schedule
-        point = schedule.points[self._point_index]
-        popped: dict[str, Any] = {}
-        for name in sorted(point.inputs):
-            popped[name] = self.in_ports[name].pop()
-        pushed = self.pearl.on_sync(self._point_index, popped)
-        pushed = dict(pushed or {})
-        if set(pushed) != set(point.outputs):
-            raise PearlError(
-                f"pearl {self.pearl.name!r} sync {self._point_index}: "
-                f"produced {sorted(pushed)}, schedule says "
-                f"{sorted(point.outputs)}"
-            )
-        for name, value in sorted(pushed.items()):
-            self.out_ports[name].push(value)
-        self._running_point = self._point_index
-        self._run_left = point.run
-        self._point_index += 1
-        if self._point_index == len(schedule.points):
-            self._point_index = 0
-            self.periods_completed += 1
-
     # -- inspection -----------------------------------------------------------------------
-
-    @property
-    def current_point(self) -> int:
-        return self._point_index
-
-    @property
-    def in_free_run(self) -> bool:
-        return self._run_left > 0
 
     def utilization(self, cycles: int) -> float:
         """Fraction of system cycles in which the pearl clock fired."""

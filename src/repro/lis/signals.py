@@ -134,17 +134,5 @@ class Block:
         """Return to the power-up state."""
         raise NotImplementedError
 
-    def phase_parts(self):
-        """``(produce, consume, commit)`` callable lists for the
-        simulator's flattened fast path.
-
-        Blocks whose phases decompose into independent sub-steps (e.g.
-        a shell delegating to its ports) may override this so the
-        driver can call the sub-steps directly, skipping one level of
-        dispatch per phase per cycle.  Produce/consume callables take
-        the cycle number; commit callables take no arguments.
-        """
-        return [self.produce], [self.consume], [self.commit]
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"

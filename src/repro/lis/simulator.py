@@ -8,10 +8,11 @@ same-cycle input-to-output path.
 
 Two drivers execute that schedule:
 
-* :meth:`Simulation.step` sweeps precomputed per-phase bound-method
-  lists (built once, when the :class:`Simulation` is constructed).  It
-  is the reference semantics, and every run with watchers attached
-  goes through it, one cycle at a time.
+* :meth:`Simulation.step` calls each block's ``produce``, then each
+  ``consume``, then each ``commit``, over the block list frozen when
+  the :class:`Simulation` is constructed.  It is the reference
+  semantics, and every run with watchers attached goes through it,
+  one cycle at a time.
 * :meth:`Simulation.run` without watchers executes the system's
   compiled cycle loop (:mod:`repro.lis.compiled`): one generated
   function per system structure, with the ports, relay stations,
@@ -77,14 +78,6 @@ class Simulation:
         self.system = system
         self.cycle = 0
         self._watchers: list[Callable[[int], None]] = []
-        self._produce: list[Callable[[int], None]] = []
-        self._consume: list[Callable[[int], None]] = []
-        self._commit: list[Callable[[], None]] = []
-        for block in system.blocks:
-            produce, consume, commit = block.phase_parts()
-            self._produce.extend(produce)
-            self._consume.extend(consume)
-            self._commit.extend(commit)
         self._shells = list(system.shells.values())
         self._blocks = system.blocks
         # The compiled loop, built on the first run (False: the system
@@ -96,19 +89,17 @@ class Simulation:
         self._watchers.append(fn)
 
     def step(self, cycles: int = 1) -> None:
-        produce = self._produce
-        consume = self._consume
-        commit = self._commit
+        blocks = self._blocks
         watchers = self._watchers
         cycle = self.cycle
         try:
             for _ in range(cycles):
-                for fn in produce:
-                    fn(cycle)
-                for fn in consume:
-                    fn(cycle)
-                for fn in commit:
-                    fn()
+                for block in blocks:
+                    block.produce(cycle)
+                for block in blocks:
+                    block.consume(cycle)
+                for block in blocks:
+                    block.commit()
                 for watcher in watchers:
                     watcher(cycle)
                 cycle += 1

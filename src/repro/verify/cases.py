@@ -89,6 +89,14 @@ class MixPearl(Pearl):
     def __init__(self, name: str, schedule) -> None:
         super().__init__(name, schedule)
         self._acc = self._initial_acc(name)
+        # Per sync point: (output port, salt) in sorted port order.
+        self._salts = [
+            tuple(
+                (port, bit * _MIX)
+                for bit, port in enumerate(sorted(point.outputs))
+            )
+            for point in schedule.points
+        ]
 
     @staticmethod
     def _initial_acc(name: str) -> int:
@@ -107,10 +115,8 @@ class MixPearl(Pearl):
             ) & _MASK
         acc = (acc * 1000003 + index + 1) & _MASK
         self._acc = acc
-        point = self.schedule.points[index]
         return {
-            port: (acc ^ (bit * _MIX)) & _MASK
-            for bit, port in enumerate(sorted(point.outputs))
+            port: (acc ^ salt) & _MASK for port, salt in self._salts[index]
         }
 
     def on_reset(self) -> None:
